@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, interaction_expand, load_csv, standardize
-from .reports import write_outcomes_csv, write_report
+from .reports import MEASURES, write_outcomes_csv, write_report
 from .simulation import (
     AggregateReport,
     EstimatorConfig,
@@ -32,6 +32,9 @@ def _parse_penalties(text: str, argument: str) -> list[PenaltySpec]:
             specs.append(PenaltySpec(float(c_text), float(r_text), argument=argument))
         except ValueError as exc:
             raise ValueError(f"bad penalty token {token!r} (expected c:r): {exc}") from exc
+    suffixes = [_pair_suffix(spec) for spec in specs]
+    if len(set(suffixes)) != len(suffixes):
+        raise ValueError(f"penalty pairs collide in report file names: {' '.join(suffixes)}")
     return specs
 
 
@@ -118,11 +121,7 @@ def _print_simulate_table(scenario, estimator, args, reports) -> None:
     )
     width = max(12, *(len(h) + 2 for h in pair_headers))
     print("measure".ljust(12) + "".join(h.rjust(width) for h in pair_headers))
-    for label, attr in [
-        ("delta_hat", "mean_delta_hat"),
-        ("fnr_pct", "mean_fnr_pct"),
-        ("tnr_pct", "mean_tnr_pct"),
-    ]:
+    for label, attr in MEASURES:
         cells = [f"{getattr(r, attr):.4g}" for r in reports]
         print(label.ljust(12) + "".join(c.rjust(width) for c in cells))
 
@@ -144,8 +143,7 @@ def cmd_select(args, parser) -> int:
         )
     estimator = _estimator_from_args(args)
     beta_hat = estimator.fit(data)
-    mode = "spline" if args.spline_mode else "step"
-    path = build_empirical_path(beta_hat, mode=mode, spline_width=args.spline_width)
+    path = build_empirical_path(beta_hat)
     multiple = len(penalties) > 1
     for spec in penalties:
         result = select_threshold(data, beta_hat, path, spec)
@@ -216,10 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--intercept", action="store_true",
                      help="prepend an all-ones column after standardization; it "
                           "participates in thresholding like any other column")
-    sel.add_argument("--spline-mode", action="store_true",
-                     help="use the cubic-spline thresholding weights")
-    sel.add_argument("--spline-width", type=float, default=1e-6,
-                     help="spline ramp width h (default 1e-6)")
     common(sel)
     return parser
 

@@ -10,7 +10,6 @@ from typing import Sequence
 from .simulation import AggregateReport
 from .thresholding import SelectionResult
 
-RISK_PROFILE_HEADER = ["k", "delta", "risk", "penalty", "criterion", "n_excluded"]
 MEASURES = (
     ("delta_hat", "mean_delta_hat"),
     ("fnr_pct", "mean_fnr_pct"),
@@ -19,14 +18,9 @@ MEASURES = (
 
 
 def risk_profile_rows(result: SelectionResult) -> list[list[str]]:
-    """CSV rows (header first) for a selection's per-threshold table."""
-    rows = [list(RISK_PROFILE_HEADER)]
-    for i, e in enumerate(result.profile.entries):
-        rows.append(
-            [str(i + 1), repr(e.delta), repr(e.risk), repr(e.penalty),
-             repr(e.criterion), str(len(e.excluded))]
-        )
-    return rows
+    """CSV rows (header first) mirroring the JSON report's ``profile`` entries."""
+    profile = result.to_dict()["profile"]
+    return [list(profile[0])] + [[repr(v) for v in entry.values()] for entry in profile]
 
 
 def aggregate_table_rows(reports: Sequence[AggregateReport]) -> list[list[str]]:

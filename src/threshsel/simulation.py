@@ -70,22 +70,23 @@ class ScenarioSpec:
         return frozenset(int(j) for j in np.nonzero(self.beta0 == 0.0)[0])
 
 
+def _signal_ladder(name: str, step: float, n: int, p: int) -> ScenarioSpec:
+    """Signals step, 2*step, ..., 10*step followed by zeros; rho 0.2, unit noise."""
+    if p < 11:
+        raise ValueError(f"{name} needs p >= 11 (ten signals plus noise columns)")
+    beta0 = np.zeros(p)
+    beta0[:10] = step * np.arange(1, 11)
+    return ScenarioSpec(n=n, p=p, beta0=beta0, rho=0.2, noise_sd=1.0, name=name)
+
+
 def scenario_s1(n: int, p: int) -> ScenarioSpec:
     """Strong-signal ladder 0.2, 0.4, ..., 2.0 followed by zeros."""
-    if p < 11:
-        raise ValueError("S1 needs p >= 11 (ten signals plus noise columns)")
-    beta0 = np.zeros(p)
-    beta0[:10] = 0.2 * np.arange(1, 11)
-    return ScenarioSpec(n=n, p=p, beta0=beta0, rho=0.2, noise_sd=1.0, name="S1")
+    return _signal_ladder("S1", 0.2, n, p)
 
 
 def scenario_s2(n: int, p: int) -> ScenarioSpec:
     """Weak-signal ladder 0.05, 0.10, ..., 0.5 followed by zeros."""
-    if p < 11:
-        raise ValueError("S2 needs p >= 11 (ten signals plus noise columns)")
-    beta0 = np.zeros(p)
-    beta0[:10] = 0.05 * np.arange(1, 11)
-    return ScenarioSpec(n=n, p=p, beta0=beta0, rho=0.2, noise_sd=1.0, name="S2")
+    return _signal_ladder("S2", 0.05, n, p)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ import numpy as np
 from .data import Dataset
 from .estimators import CoefficientVector, Support, least_squares_on_support
 
-MODES = ("step", "spline")
-
 # Penalty arguments understood by PenaltySpec. "dimension" scales the penalty
 # by the retained-model size, which is what makes selection consistent on the
 # benchmark scenarios; "threshold" uses the raw threshold value c/delta^r.
@@ -48,24 +46,18 @@ class PenaltySpec:
 
 @dataclass(frozen=True)
 class ThresholdPath:
-    """Strictly decreasing positive thresholds plus the spline configuration."""
+    """Strictly decreasing, finite, positive candidate thresholds."""
 
     deltas: np.ndarray
-    spline_width: float = 1e-6
-    mode: str = "step"
 
     def __post_init__(self):
         deltas = np.asarray(self.deltas, dtype=np.float64)
         if deltas.ndim != 1 or deltas.size == 0:
             raise ValueError("deltas must be a nonempty 1-d vector")
-        if deltas[-1] <= 0:
-            raise ValueError("all thresholds must be positive")
+        if not np.all(np.isfinite(deltas)) or deltas[-1] <= 0:
+            raise ValueError("all thresholds must be finite and positive")
         if np.any(np.diff(deltas) >= 0):
             raise ValueError("thresholds must be strictly decreasing")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.spline_width <= 0:
-            raise ValueError("spline width must be positive")
         object.__setattr__(self, "deltas", deltas)
 
     def __len__(self) -> int:
@@ -184,14 +176,10 @@ def t_threshold(b: float, delta: float, h: float = 1e-6, mode: str = "step") -> 
         return 0.0 if abs(b) <= delta else 1.0
     if mode == "spline":
         return tau_spline(abs(b), delta, h)
-    raise ValueError(f"mode must be one of {MODES}")
+    raise ValueError("mode must be 'step' or 'spline'")
 
 
-def build_empirical_path(
-    beta_hat: CoefficientVector,
-    mode: str = "step",
-    spline_width: float = 1e-6,
-) -> ThresholdPath:
+def build_empirical_path(beta_hat: CoefficientVector) -> ThresholdPath:
     """Candidate thresholds = distinct nonzero |beta_hat_j|, sorted decreasing.
 
     Exact duplicates collapse to one threshold; exact zeros contribute no
@@ -203,7 +191,7 @@ def build_empirical_path(
     deltas = deltas[deltas > 0]
     if deltas.size == 0:
         raise AllZeroError("all coefficient estimates are zero")
-    return ThresholdPath(deltas, spline_width=spline_width, mode=mode)
+    return ThresholdPath(deltas)
 
 
 def support_at_threshold(
@@ -232,13 +220,9 @@ def min_thresholded_risk(
 
     Columns with a positive thresholding weight span the same space whether
     the weight is fractional (spline) or unit (step), so the minimum equals
-    the restricted least-squares risk on {j : t(beta_j) > 0} in both modes.
+    the restricted least-squares risk on {j : |beta_j| > delta} in both modes.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    magnitudes = np.abs(beta_hat.values)
-    # t > 0 iff |beta_j| > delta in either mode.
-    retained = Support(tuple(int(j) for j in np.nonzero(magnitudes > delta)[0]))
+    _, retained = support_at_threshold(beta_hat, delta)
     return least_squares_on_support(data, retained).risk
 
 

@@ -52,7 +52,7 @@ def cell(scenario_name, n, p, method, pair, reps=100):
         scenario = scenario_s1(n, p) if scenario_name == "S1" else scenario_s2(n, p)
         _CELL_CACHE[key] = run_scenario(
             scenario, EstimatorConfig(method=method), pair,
-            replications=reps, base_seed=BASE_SEED, workers=4,
+            replications=reps, base_seed=BASE_SEED, workers=1,
         )
     return _CELL_CACHE[key]
 

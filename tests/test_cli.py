@@ -35,7 +35,7 @@ class TestHelp:
         else:
             for flag in ["--input", "--response", "--no-standardize",
                          "--no-standardize-response", "--interactions",
-                         "--intercept", "--spline-mode", "--spline-width"]:
+                         "--intercept"]:
                 assert flag in text
 
 
@@ -100,6 +100,16 @@ class TestSimulate:
         code = run_cli(["simulate", "--scenario", "S1", "--n", "100", "--p", "20",
                         "--reps", "2", "--penalties", "banana"])
         assert code == 2
+
+    @pytest.mark.parametrize("penalties", ["0.5:0.25,0.5000001:0.25", "1:0.5,1:0.5"])
+    def test_colliding_penalty_pairs_exit_2(self, tmp_path, capsys, penalties):
+        dump = tmp_path / "d.csv"
+        code = run_cli(["simulate", "--scenario", "S1", "--n", "100", "--p", "20",
+                        "--reps", "2", "--penalties", penalties,
+                        "--dump-replications", str(dump)])
+        assert code == 2
+        assert "collide" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_runtime_failure_exits_1_naming_seed(self, tmp_path, capsys, recwarn):
         # n = 1 defeats the penalty's log(n) > 0 requirement mid-replication.
@@ -167,20 +177,6 @@ class TestSelect:
                          * np.log(data.n_obs) / np.sqrt(data.n_obs))
         assert doc["k_hat"] == int(np.argmin(crits)) + 1
 
-    def test_spline_mode_matches_step(self, tmp_path, capsys):
-        csv_path = tmp_path / "toy.csv"
-        write_toy_csv(csv_path)
-        outs = [tmp_path / "a.json", tmp_path / "b.json"]
-        assert run_cli(["select", "--input", str(csv_path), "--response", "y",
-                        "--penalties", "0.75:0.4", "--out", str(outs[0])]) == 0
-        assert run_cli(["select", "--input", str(csv_path), "--response", "y",
-                        "--penalties", "0.75:0.4", "--spline-mode",
-                        "--spline-width", "0.01", "--out", str(outs[1])]) == 0
-        capsys.readouterr()
-        a, b = (json.loads(p.read_text()) for p in outs)
-        assert a["irrelevant_set"] == b["irrelevant_set"]
-        assert a["delta_hat"] == b["delta_hat"]
-
     def test_interactions_and_intercept(self, tmp_path, capsys):
         csv_path = tmp_path / "toy3.csv"
         write_toy_csv(csv_path, beta=(2.0, 0.0, 1.0))
@@ -203,6 +199,16 @@ class TestSelect:
         capsys.readouterr()
         assert (tmp_path / "sel_c0.5_r0.25.json").exists()
         assert (tmp_path / "sel_c1_r0.5.json").exists()
+
+    def test_colliding_penalty_pairs_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        out = tmp_path / "sel.json"
+        code = run_cli(["select", "--input", str(csv_path), "--response", "y",
+                        "--penalties", "0.5:0.25,0.5000001:0.25", "--out", str(out)])
+        assert code == 2
+        assert "collide" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [csv_path]
 
     def test_missing_input_exits_2(self, capsys):
         code = run_cli(["select", "--input", "/nonexistent.csv", "--response", "y"])

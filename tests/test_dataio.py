@@ -1,5 +1,6 @@
 """CSV ingestion, standardization, interaction expansion, report writing."""
 
+import csv
 import json
 
 import numpy as np
@@ -171,6 +172,16 @@ class TestWriteReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,delta,risk,penalty,criterion,n_excluded"
         assert len(lines) == 1 + len(result.profile)
+
+    def test_selection_csv_matches_json_profile(self, tmp_path, rng, dataset_factory):
+        result = tiny_selection(rng, dataset_factory)
+        write_report(result, tmp_path / "sel.json", fmt="json")
+        write_report(result, tmp_path / "sel.csv", fmt="csv")
+        profile = json.loads((tmp_path / "sel.json").read_text())["profile"]
+        with (tmp_path / "sel.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(profile[0])
+        assert rows == [[repr(v) for v in entry.values()] for entry in profile]
 
     def test_byte_stability(self, tmp_path, rng, dataset_factory):
         result = tiny_selection(rng, dataset_factory)

@@ -372,6 +372,7 @@ class TestThresholdPathType:
         with pytest.raises(ValueError):
             ThresholdPath(np.array([0.5, 0.0]))
 
-    def test_spline_width_positive(self):
-        with pytest.raises(ValueError):
-            ThresholdPath(np.array([0.5]), spline_width=0.0, mode="spline")
+    def test_non_finite_rejected(self):
+        for bad in ([1.0, np.nan], [np.nan, 0.5], [np.inf, 0.5], [0.5, 0.2, np.nan, 0.1]):
+            with pytest.raises(ValueError, match="finite"):
+                ThresholdPath(np.array(bad))
