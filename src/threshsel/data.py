@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,7 +145,10 @@ def load_csv(path: str | Path, response_column: str) -> Dataset:
             raise MissingColumnError(
                 f"response column {response_column!r} not in header {header}"
             )
-        rows: list[list[float]] = []
+        # One flat buffer of doubles keeps peak memory near the table's own
+        # size; a list of Python floats per row takes several times that.
+        cells = array("d")
+        n_rows = 0
         for i, raw in enumerate(reader, start=1):
             if not raw:
                 continue
@@ -152,20 +156,19 @@ def load_csv(path: str | Path, response_column: str) -> Dataset:
                 raise ParseError(
                     f"row {i} has {len(raw)} cells, expected {len(header)}", i, ""
                 )
-            parsed = []
             for name, cell in zip(header, raw):
                 try:
-                    parsed.append(float(cell))
+                    cells.append(float(cell))
                 except ValueError:
                     raise ParseError(
                         f"row {i}, column {name!r}: could not parse {cell!r}",
                         i,
                         name,
                     ) from None
-            rows.append(parsed)
-    if not rows:
+            n_rows += 1
+    if not n_rows:
         raise ParseError("file has a header but no data rows", 0, "")
-    table = np.array(rows, dtype=np.float64)
+    table = np.frombuffer(cells, dtype=np.float64).reshape(n_rows, len(header))
     ri = header.index(response_column)
     keep = [j for j in range(len(header)) if j != ri]
     return Dataset(

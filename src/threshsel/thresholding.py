@@ -22,6 +22,11 @@ from .estimators import CoefficientVector, Support, least_squares_on_support
 # benchmark scenarios; "threshold" uses the raw threshold value c/delta^r.
 PENALTY_ARGUMENTS = ("dimension", "threshold")
 
+# A prefix refit is read off the shared QR only while the prefix's condition
+# bound stays this factor below the point where np.linalg.lstsq would start
+# truncating singular values; wider prefixes are refit one by one.
+QR_RCOND_MARGIN = 1e-6
+
 
 class AllZeroError(ValueError):
     """Every coefficient estimate is zero, so no threshold path exists."""
@@ -82,14 +87,12 @@ class RiskProfile:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("profile must have at least one entry")
-        risks = [e.risk for e in self.entries]
-        pens = [e.penalty for e in self.entries]
-        for a, b in zip(risks, risks[1:]):
-            if b > a + 1e-10:
-                raise ValueError("risks must be nonincreasing along the path")
-        for a, b in zip(pens, pens[1:]):
-            if b <= a:
-                raise ValueError("penalties must be strictly increasing along the path")
+        risks = np.array([e.risk for e in self.entries])
+        pens = np.array([e.penalty for e in self.entries])
+        if np.any(risks[1:] > risks[:-1] + 1e-10):
+            raise ValueError("risks must be nonincreasing along the path")
+        if np.any(pens[1:] <= pens[:-1]):
+            raise ValueError("penalties must be strictly increasing along the path")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -221,7 +224,12 @@ def min_thresholded_risk(
     Columns with a positive thresholding weight span the same space whether
     the weight is fractional (spline) or unit (step), so the minimum equals
     the restricted least-squares risk on {j : |beta_j| > delta} in both modes.
+    ``mode`` and ``h`` are validated as in :func:`t_threshold`.
     """
+    if mode not in ("step", "spline"):
+        raise ValueError("mode must be 'step' or 'spline'")
+    if h <= 0:
+        raise ValueError("h must be positive")
     _, retained = support_at_threshold(beta_hat, delta)
     return least_squares_on_support(data, retained).risk
 
@@ -254,25 +262,73 @@ def _penalty_at(delta: float, n_retained: int, n: int, spec: PenaltySpec) -> flo
     return penalty_value(delta, n, spec)
 
 
+def _prefix_rss(
+    design: np.ndarray, response: np.ndarray, order: np.ndarray, top: int
+) -> np.ndarray:
+    """Residual sums of squares of the least-squares refits on ``order[:m]``.
+
+    One Householder QR of ``[X[:, order[:w]], y]`` with w = min(top, n - 1)
+    gives every prefix at once: the last column of R holds Q'y followed by
+    the residual norm, so RSS(m) = sum_{i >= m} R[i, w]^2 (Golub & Van Loan,
+    Matrix Computations, section 5.3). Q is never formed.
+
+    The result holds RSS(m) for m = 0, ..., g only, where g is the widest
+    prefix whose condition bound ||R_m||_F ||R_m^-1||_F stays below
+    ``QR_RCOND_MARGIN / (eps * n)``. The bound is at least the 2-norm
+    condition number and grows with m, so no returned prefix is one that
+    ``np.linalg.lstsq`` (cutoff ``eps * n``) would treat as rank deficient.
+    """
+    n = response.shape[0]
+    width = min(top, n - 1)
+    r = np.linalg.qr(np.column_stack([design[:, order[:width]], response]), mode="r")
+    limit = QR_RCOND_MARGIN / (np.finfo(np.float64).eps * n)
+    # A pivot negligible against an earlier one already breaks the bound;
+    # cutting there first keeps zero pivots out of the inverse.
+    diag = np.abs(np.diagonal(r)[:width])
+    good = np.count_nonzero(
+        np.logical_and.accumulate(diag * limit > np.maximum.accumulate(diag))
+    )
+    rx = r[:good, :good]
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = np.linalg.inv(rx)
+        kappa = np.sqrt(np.cumsum((rx * rx).sum(axis=0)) * np.cumsum((inv * inv).sum(axis=0)))
+    good = np.count_nonzero(np.logical_and.accumulate(kappa < limit))
+    squares = r[:, width] ** 2
+    return np.cumsum(squares[::-1])[::-1][: good + 1]
+
+
 def risk_profile(
     data: Dataset,
     beta_hat: CoefficientVector,
     path: ThresholdPath,
     spec: PenaltySpec,
 ) -> RiskProfile:
-    """Evaluate risk, penalty, and criterion at every threshold of a path."""
+    """Evaluate risk, penalty, and criterion at every threshold of a path.
+
+    The supports are nested prefixes of the columns ordered by decreasing
+    |beta_j|, so the refit risks come from one QR (:func:`_prefix_rss`).
+    Only prefixes too close to rank deficiency for that are refit one by one
+    with :func:`least_squares_on_support`, which warns as usual.
+    """
+    mags = np.abs(beta_hat.values)
+    order = np.argsort(-mags, kind="stable")
+    retained = mags.size - np.searchsorted(np.sort(mags), path.deltas, side="right")
+    n = data.n_obs
+    rss = _prefix_rss(data.design, data.response, order, int(retained[-1]))
     entries = []
-    for delta in path.deltas:
-        excluded, retained = support_at_threshold(beta_hat, float(delta))
-        risk = least_squares_on_support(data, retained).risk
-        penalty = _penalty_at(float(delta), len(retained), data.n_obs, spec)
+    for delta, m in zip(path.deltas.tolist(), retained.tolist()):
+        if m < rss.size:
+            risk = float(rss[m]) / n
+        else:
+            risk = least_squares_on_support(data, Support(np.sort(order[:m]).tolist())).risk
+        penalty = _penalty_at(delta, m, n, spec)
         entries.append(
             ProfileEntry(
-                delta=float(delta),
+                delta=delta,
                 risk=risk,
                 penalty=penalty,
                 criterion=risk + penalty,
-                excluded=excluded,
+                excluded=tuple(np.flatnonzero(mags <= delta).tolist()),
             )
         )
     return RiskProfile(tuple(entries))

@@ -70,6 +70,17 @@ class TestLoadCSV:
         assert np.array_equal(back.response, data.response)
         assert back.labels == data.labels
 
+    def test_bits_match_loadtxt(self, tmp_path, rng):
+        values = rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-8, 9, (50, 5))
+        path = tmp_path / "repr.csv"
+        rows = [",".join(repr(float(v)) for v in row) for row in values]
+        path.write_text("a,b,y,c,d\n" + "\n".join(rows) + "\n")
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = load_csv(path, response_column="y")
+        assert data.design.tobytes() == table[:, [0, 1, 3, 4]].tobytes()
+        assert data.response.tobytes() == table[:, 2].tobytes()
+        assert table.tobytes() == values.tobytes()
+
 
 class TestStandardize:
     def test_simple_column(self):

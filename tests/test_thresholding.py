@@ -1,17 +1,21 @@
 """Thresholding tests: spline pieces, paths, risks, penalties, selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import threshsel.thresholding
 from threshsel import (
     AllZeroError,
     CoefficientVector,
+    Dataset,
     PenaltySpec,
     ProfileEntry,
+    RankDeficientWarning,
     RiskProfile,
     ThresholdPath,
     build_empirical_path,
@@ -23,6 +27,8 @@ from threshsel import (
     risk_profile,
     scenario_s1,
     generate_dataset,
+    interaction_expand,
+    least_squares_on_support,
     select_threshold,
     support_at_threshold,
     t_threshold,
@@ -187,6 +193,18 @@ class TestMinThresholdedRisk:
                     oracle = spline_weighted_risk(data, beta, delta, h)
                     assert oracle == pytest.approx(step, abs=1e-9)
 
+    def test_mode_and_h_validated(self, rng, dataset_factory):
+        data = dataset_factory(rng, 10, 3)
+        beta = fit_ols(data)
+        with pytest.raises(ValueError, match="mode"):
+            min_thresholded_risk(data, beta, 0.1, mode="bogus", h=-5)
+        with pytest.raises(ValueError, match="mode"):
+            min_thresholded_risk(data, beta, 0.1, mode="Step")
+        for mode in ("step", "spline"):
+            for h in (0.0, -5.0):
+                with pytest.raises(ValueError, match="h must be positive"):
+                    min_thresholded_risk(data, beta, 0.1, mode=mode, h=h)
+
 
 class TestPenalties:
     def test_threshold_penalty_arithmetic(self):
@@ -263,6 +281,146 @@ class TestRiskProfile:
         )
         with pytest.raises(ValueError):
             RiskProfile(flat_penalty)
+
+
+def rank_warnings(caught):
+    return [(w.message.rank, w.message.ncols) for w in caught
+            if issubclass(w.category, RankDeficientWarning)]
+
+
+def per_threshold_refits(data, beta_hat, path):
+    """Reference: one restricted refit per threshold, with the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        risks = [
+            least_squares_on_support(data, support_at_threshold(beta_hat, d)[1]).risk
+            for d in path.deltas
+        ]
+    return risks, rank_warnings(caught)
+
+
+def brute_force_risk(data, keep):
+    """Subset refit by the normal equations, or min-norm lstsq when ill-conditioned."""
+    if not keep.any():
+        return float(data.response @ data.response) / data.n_obs
+    sub = data.design[:, keep]
+    if np.linalg.cond(sub) < 1e6:
+        coefs = np.linalg.solve(sub.T @ sub, sub.T @ data.response)
+    else:
+        coefs = np.linalg.lstsq(sub, data.response, rcond=None)[0]
+    resid = data.response - sub @ coefs
+    return float(resid @ resid) / data.n_obs
+
+
+def checked_profile(data, beta_hat):
+    """Profile whose risks match the oracles and whose warnings match the reference."""
+    path = build_empirical_path(beta_hat)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        profile = risk_profile(data, beta_hat, path, PenaltySpec(0.75, 0.4))
+    reference, reference_warnings = per_threshold_refits(data, beta_hat, path)
+    assert rank_warnings(caught) == reference_warnings
+    mags = np.abs(beta_hat.values)
+    for entry, ref in zip(profile.entries, reference):
+        keep = mags > entry.delta
+        assert entry.excluded == tuple(np.flatnonzero(~keep).tolist())
+        assert entry.risk == pytest.approx(brute_force_risk(data, keep), rel=1e-9, abs=1e-12)
+        assert entry.risk == pytest.approx(ref, rel=1e-9, abs=1e-12)
+    return profile, reference_warnings
+
+
+@pytest.fixture
+def count_fallbacks(monkeypatch):
+    """Count the per-prefix refits risk_profile falls back to."""
+    calls = []
+    original = threshsel.thresholding.least_squares_on_support
+
+    def counted(data, support):
+        calls.append(len(support))
+        return original(data, support)
+
+    monkeypatch.setattr(threshsel.thresholding, "least_squares_on_support", counted)
+    return calls
+
+
+class TestRiskProfileOracle:
+    def test_full_rank_ladder_makes_no_per_threshold_refit(self, count_fallbacks):
+        for scenario, seed in ((scenario_s1(200, 20), 7), (scenario_s1(60, 50), 8)):
+            data, _ = generate_dataset(scenario, seed=seed)
+            profile, warned = checked_profile(data, fit_ols(data))
+            assert len(profile) == scenario.p and warned == []
+        assert count_fallbacks == []
+
+    def test_duplicated_column(self, rng, count_fallbacks):
+        design = rng.standard_normal((30, 5))
+        design[:, 3] = design[:, 1]
+        response = design @ np.array([1.0, 0.6, 0.2, 0.6, 0.05]) + rng.standard_normal(30)
+        data = Dataset(design, response, tuple(f"x{j}" for j in range(5)))
+        with pytest.warns(RankDeficientWarning):
+            beta = fit_ols(data)
+        profile, warned = checked_profile(data, beta)
+        assert warned and all(ncols == rank + 1 for rank, ncols in warned)
+        assert count_fallbacks
+
+    def test_p_at_least_n_min_norm(self, rng, count_fallbacks):
+        data = make_dataset(rng, 8, 12)
+        with pytest.warns(RankDeficientWarning):
+            beta = fit_ols(data)
+        profile, warned = checked_profile(data, beta)
+        # Prefixes of n or more columns are refit one by one; those beyond n warn.
+        retained = [12 - len(e.excluded) for e in profile.entries]
+        assert sorted(count_fallbacks) == [m for m in retained if m >= 8]
+        assert warned == [(8, m) for m in retained if m > 8]
+
+    def test_collinear_interactions_with_intercept(self, rng, count_fallbacks):
+        n = 40
+        a = (rng.random(n) < 0.5).astype(float)
+        g, h = rng.standard_normal((2, n))
+        base = Dataset(np.column_stack([a, 1.0 - a, g, h]),
+                       a + g - 0.5 * g * h + rng.standard_normal(n), ("a", "b", "g", "h"))
+        expanded, _ = interaction_expand(base)
+        data = Dataset(np.column_stack([expanded.design, np.ones(n)]), expanded.response,
+                       expanded.labels + ("intercept",))
+        with pytest.warns(RankDeficientWarning):
+            beta = fit_ols(data)
+        _, warned = checked_profile(data, beta)
+        assert warned and count_fallbacks
+
+    def test_near_collinear_prefix_falls_back_without_warning(self, rng, count_fallbacks):
+        design = rng.standard_normal((30, 4))
+        design[:, 2] = design[:, 0] + 1e-10 * rng.standard_normal(30)
+        data = Dataset(design, design @ np.ones(4) + rng.standard_normal(30),
+                       ("a", "b", "c", "d"))
+        beta = coef(2.0, 1.5, 1.0, 0.5)
+        _, warned = checked_profile(data, beta)
+        assert warned == [] and count_fallbacks == [3]
+
+    def test_ill_conditioned_prefix_with_moderate_pivots(self, rng, count_fallbacks):
+        # A Kahan matrix is numerically singular although no pivot of its R is
+        # small, so only the condition bound keeps its wide prefixes off the QR.
+        k, c = 40, 0.7
+        kahan = np.diag(math.sqrt(1 - c * c) ** np.arange(k)) @ (
+            np.eye(k) - c * np.triu(np.ones((k, k)), 1)
+        )
+        basis, _ = np.linalg.qr(rng.standard_normal((60, k)))
+        design = basis @ kahan
+        data = Dataset(design, design @ np.ones(k) + rng.standard_normal(60),
+                       tuple(f"x{j}" for j in range(k)))
+        _, warned = checked_profile(data, coef(*np.linspace(2.0, 0.1, k)))
+        assert warned and 0 < min(count_fallbacks) < k - 1
+
+    def test_tied_magnitudes(self, rng):
+        data = make_dataset(rng, 30, 7)
+        beta = coef(0.9, -0.9, 0.4, 0.4, -0.4, 0.1, -0.1)
+        profile, _ = checked_profile(data, beta)
+        assert [len(e.excluded) for e in profile.entries] == [7, 5, 2]
+
+    def test_single_nonzero_coefficient(self, rng):
+        data = make_dataset(rng, 15, 4)
+        profile, _ = checked_profile(data, coef(0.0, 0.0, -0.7, 0.0))
+        (entry,) = profile.entries
+        assert entry.excluded == (0, 1, 2, 3)
+        assert entry.risk == pytest.approx(float(data.response @ data.response) / 15, rel=1e-14)
 
 
 class TestSelectThreshold:
