@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import numpy as np
 from .data import Dataset, interaction_expand, load_csv, standardize
 from .reports import MEASURES, write_outcomes_csv, write_report
 from .simulation import (
-    AggregateReport,
     EstimatorConfig,
     ScenarioSpec,
     run_scenario,
@@ -98,14 +96,12 @@ def cmd_simulate(args, parser) -> int:
     penalties = _parse_penalties(args.penalties, args.penalty_argument)
     scenario = _load_scenario(args.scenario, args.n, args.p, parser)
     estimator = _estimator_from_args(args)
-    reports: list[AggregateReport] = []
-    for spec in penalties:
-        report = run_scenario(
-            scenario, estimator, spec, args.reps, args.seed, workers=args.threads
-        )
-        reports.append(report)
-        if args.dump_replications:
-            dump = _sided_path(Path(args.dump_replications), spec, len(penalties) > 1)
+    reports = run_scenario(
+        scenario, estimator, penalties, args.reps, args.seed, workers=args.threads
+    )
+    if args.dump_replications:
+        for report in reports:
+            dump = _sided_path(Path(args.dump_replications), report.penalty, len(reports) > 1)
             write_outcomes_csv(report, dump)
     _print_simulate_table(scenario, estimator, args, reports)
     if args.out:
@@ -193,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replications per penalty pair (default 100)")
     sim.add_argument("--seed", type=int, default=20240801,
                      help="base seed; replication i uses a hash of (seed, i)")
-    sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker threads for replications (default: all cores); "
-                          "results are identical for any value")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads for replications (default 1); results "
+                          "are identical for any value at a fixed BLAS thread count")
     sim.add_argument("--dump-replications", metavar="PATH",
                      help="also write per-replication outcomes to this CSV")
     common(sim)

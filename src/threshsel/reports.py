@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -95,11 +97,23 @@ def write_outcomes_csv(report: AggregateReport, path: str | Path) -> None:
 
 
 def _dump_json(payload, path: Path) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _dump_csv(rows: list[list[str]], path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Overwrite ``path`` in place, truncating after the write, not before.
+
+    Opening with ``"w"`` truncates a just-written file to zero first; on ext4
+    (``auto_da_alloc``) that forces its writeback on close, and the next
+    truncate waits for it. Rewriting in place keeps links and permissions.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()

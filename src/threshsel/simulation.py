@@ -7,9 +7,9 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset
 from .estimators import (
@@ -186,6 +186,9 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 def _standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """N(0,1) variates by inversion; uniforms are kept strictly inside (0,1)."""
+    # Imported here so that ``import threshsel`` and ``select`` never load scipy.
+    from scipy.special import ndtri
+
     u = rng.integers(1, 1 << 53, size=size).astype(np.float64) / float(1 << 53)
     return ndtri(u)
 
@@ -209,10 +212,15 @@ def generate_dataset(spec: ScenarioSpec, seed: int) -> tuple[Dataset, frozenset[
 def run_replication(
     scenario: ScenarioSpec,
     estimator: EstimatorConfig,
-    penalty: PenaltySpec,
+    penalties: Sequence[PenaltySpec],
     seed: int,
-) -> ReplicationOutcome:
-    """One seeded draw: generate, fit, build the path, select, score."""
+) -> tuple[ReplicationOutcome, ...]:
+    """One seeded draw scored under every penalty pair, one outcome per pair.
+
+    The dataset, fit, threshold ladder and beta-min check are shared by all
+    pairs; only the selection and its scores are per pair. ``wall_time`` is
+    the whole replication's time, the same on every outcome.
+    """
     start = time.perf_counter()
     try:
         data, true_irrelevant = generate_dataset(scenario, seed)
@@ -227,58 +235,72 @@ def run_replication(
                 ),
                 stacklevel=2,
             )
-        result = select_threshold(data, beta_hat, path, penalty)
-        fnr, tnr = metrics_fnr_tnr(
-            set(result.irrelevant_set), true_irrelevant, scenario.p
-        )
+        scored = []
+        for penalty in penalties:
+            result = select_threshold(data, beta_hat, path, penalty)
+            fnr, tnr = metrics_fnr_tnr(
+                set(result.irrelevant_set), true_irrelevant, scenario.p
+            )
+            scored.append((result, fnr, tnr))
     except Exception as exc:
         raise RuntimeError(f"replication with seed {seed} failed: {exc}") from exc
-    if tnr is None:
+    if not true_irrelevant:
         raise RuntimeError(f"replication with seed {seed}: scenario has no irrelevant columns")
-    return ReplicationOutcome(
-        seed=seed,
-        delta_hat=result.delta_hat,
-        fnr=fnr,
-        tnr=tnr,
-        selected_set=result.irrelevant_set,
-        wall_time=time.perf_counter() - start,
+    wall_time = time.perf_counter() - start
+    return tuple(
+        ReplicationOutcome(
+            seed=seed,
+            delta_hat=result.delta_hat,
+            fnr=fnr,
+            tnr=tnr,
+            selected_set=result.irrelevant_set,
+            wall_time=wall_time,
+        )
+        for result, fnr, tnr in scored
     )
 
 
 def run_scenario(
     scenario: ScenarioSpec,
     estimator: EstimatorConfig,
-    penalty: PenaltySpec,
+    penalties: Sequence[PenaltySpec],
     replications: int,
     base_seed: int,
     workers: int = 1,
-) -> AggregateReport:
-    """Run seeded replications (serial or thread-fanned) and average them.
+) -> tuple[AggregateReport, ...]:
+    """Run seeded replications (serial or thread-fanned); one report per pair.
 
-    Replication i always uses ``derive_seed(base_seed, i)`` and aggregation
-    uses exact summation in index order, so the report is bitwise identical
-    for any ``workers`` value.
+    Every pair is scored on the same replications. Replication i always uses
+    ``derive_seed(base_seed, i)`` and aggregation uses exact summation in
+    index order, so each report is bitwise identical for any ``workers``
+    value. Reports come back in the order of ``penalties``.
     """
+    penalties = tuple(penalties)
+    if not penalties:
+        raise ValueError("at least one penalty pair is required")
     if replications < 1:
         raise ValueError("replications must be at least 1")
     seeds = [derive_seed(base_seed, i) for i in range(replications)]
 
-    def one(seed: int) -> ReplicationOutcome:
-        return run_replication(scenario, estimator, penalty, seed)
+    def one(seed: int) -> tuple[ReplicationOutcome, ...]:
+        return run_replication(scenario, estimator, penalties, seed)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = tuple(pool.map(one, seeds))
+            rows = list(pool.map(one, seeds))
     else:
-        outcomes = tuple(one(s) for s in seeds)
-    return AggregateReport(
-        scenario=scenario,
-        estimator=estimator,
-        penalty=penalty,
-        replications=replications,
-        base_seed=base_seed,
-        mean_delta_hat=math.fsum(o.delta_hat for o in outcomes) / replications,
-        mean_fnr_pct=100.0 * math.fsum(o.fnr for o in outcomes) / replications,
-        mean_tnr_pct=100.0 * math.fsum(o.tnr for o in outcomes) / replications,
-        outcomes=outcomes,
+        rows = [one(s) for s in seeds]
+    return tuple(
+        AggregateReport(
+            scenario=scenario,
+            estimator=estimator,
+            penalty=penalty,
+            replications=replications,
+            base_seed=base_seed,
+            mean_delta_hat=math.fsum(o.delta_hat for o in outcomes) / replications,
+            mean_fnr_pct=100.0 * math.fsum(o.fnr for o in outcomes) / replications,
+            mean_tnr_pct=100.0 * math.fsum(o.tnr for o in outcomes) / replications,
+            outcomes=outcomes,
+        )
+        for penalty, outcomes in zip(penalties, zip(*rows))
     )

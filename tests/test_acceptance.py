@@ -32,6 +32,7 @@ from threshsel import (
     scenario_s2,
     select_threshold,
     standardize,
+    t_threshold,
     tau_spline,
 )
 from threshsel.cli import main as cli_main
@@ -45,15 +46,19 @@ PAIRS = (PenaltySpec(0.5, 0.25), PenaltySpec(0.75, 0.4), PenaltySpec(1.0, 0.5))
 _CELL_CACHE = {}
 
 
-def cell(scenario_name, n, p, method, pair, reps=100):
-    """Memoized scenario run; every criterion shares the same seeded cells."""
-    key = (scenario_name, n, p, method, pair.c, pair.r, reps)
+def cell(scenario_name, n, p, method, reps=100):
+    """Memoized scenario run scoring every pair in PAIRS; reports keyed by pair.
+
+    Every criterion shares the same seeded cells.
+    """
+    key = (scenario_name, n, p, method, reps)
     if key not in _CELL_CACHE:
         scenario = scenario_s1(n, p) if scenario_name == "S1" else scenario_s2(n, p)
-        _CELL_CACHE[key] = run_scenario(
-            scenario, EstimatorConfig(method=method), pair,
+        reports = run_scenario(
+            scenario, EstimatorConfig(method=method), PAIRS,
             replications=reps, base_seed=BASE_SEED, workers=1,
         )
+        _CELL_CACHE[key] = dict(zip(PAIRS, reports))
     return _CELL_CACHE[key]
 
 
@@ -65,8 +70,7 @@ def test_criterion_1_strong_signal_large_n():
     start = time.perf_counter()
     clauses = []
     details = []
-    for pair in PAIRS:
-        rep = cell("S1", 10000, 20, "ols", pair)
+    for pair, rep in cell("S1", 10000, 20, "ols").items():
         clauses += [
             rep.mean_fnr_pct <= 0.5,
             rep.mean_tnr_pct >= 99.5,
@@ -83,7 +87,7 @@ def test_criterion_1_strong_signal_large_n():
 
 def test_criterion_2_strong_signal_small_n():
     start = time.perf_counter()
-    rep = cell("S1", 100, 20, "ols", PenaltySpec(1.0, 0.5))
+    rep = cell("S1", 100, 20, "ols")[PenaltySpec(1.0, 0.5)]
     ok = (abs(rep.mean_fnr_pct - 10.2) <= 5.0) and (abs(rep.mean_tnr_pct - 96.4) <= 5.0)
     report_line(
         2, ok,
@@ -95,7 +99,7 @@ def test_criterion_2_strong_signal_small_n():
 
 def test_criterion_3_weak_signal_mid_n():
     start = time.perf_counter()
-    rep = cell("S2", 1000, 50, "ols", PenaltySpec(0.75, 0.4))
+    rep = cell("S2", 1000, 50, "ols")[PenaltySpec(0.75, 0.4)]
     ok = (abs(rep.mean_fnr_pct - 18.8) <= 6.0) and (abs(rep.mean_tnr_pct - 99.675) <= 2.0)
     report_line(
         3, ok,
@@ -107,7 +111,7 @@ def test_criterion_3_weak_signal_mid_n():
 
 def test_criterion_4_adaptive_ridge_small_n():
     start = time.perf_counter()
-    rep = cell("S1", 100, 20, "ar", PenaltySpec(0.5, 0.25))
+    rep = cell("S1", 100, 20, "ar")[PenaltySpec(0.5, 0.25)]
     ok = (abs(rep.mean_tnr_pct - 94.2) <= 5.0) and (abs(rep.mean_fnr_pct - 6.0) <= 4.0)
     report_line(
         4, ok,
@@ -182,15 +186,23 @@ def test_criterion_6_property_suite(rng):
             knot_ok &= abs(tau_spline(knot + step, delta, h) - tau_spline(knot - step, delta, h)) < 1e-3
     clauses["spline-knots"] = knot_ok
 
-    # Spline-vs-step risk equality on 50 random small datasets.
+    # Step risk against a direct refit on the spline-weighted design, on 50
+    # random small datasets.
     equal_ok = True
     for _ in range(50):
         data = make_dataset(rng, int(rng.integers(8, 30)), int(rng.integers(2, 6)))
         beta = fit_ols(data)
         delta = float(rng.choice(np.abs(beta.values)))
         step_risk = min_thresholded_risk(data, beta, delta, mode="step")
-        spline_risk = min_thresholded_risk(data, beta, delta, mode="spline", h=0.1)
-        equal_ok &= abs(step_risk - spline_risk) < 1e-9
+        weights = np.array([t_threshold(b, delta, 0.1, "spline") for b in beta.values])
+        keep = weights > 0
+        if keep.any():
+            scaled = data.design[:, keep] * weights[keep]
+            coefs, *_ = np.linalg.lstsq(scaled, data.response, rcond=None)
+            resid = data.response - scaled @ coefs
+        else:
+            resid = data.response
+        equal_ok &= abs(step_risk - float(resid @ resid) / data.n_obs) < 1e-9
     clauses["spline-step-risk"] = equal_ok
 
     # Monotonicity on every generated profile, hard-threshold structure, and
@@ -263,7 +275,7 @@ def test_criterion_6_property_suite(rng):
 def test_screening_property_at_scale():
     # Selected irrelevant set contained in the true one (fnr == 0 per
     # replication) in at least 99% of the large-n strong-signal runs.
-    rep = cell("S1", 10000, 20, "ols", PenaltySpec(1.0, 0.5))
+    rep = cell("S1", 10000, 20, "ols")[PenaltySpec(1.0, 0.5)]
     contained = sum(1 for o in rep.outcomes if o.fnr == 0.0)
     assert contained >= 0.99 * rep.replications
 
@@ -271,7 +283,7 @@ def test_screening_property_at_scale():
 def test_criterion_7_consistency_trend():
     start = time.perf_counter()
     pair = PenaltySpec(1.0, 0.5)
-    reps = [cell("S1", n, 20, "ols", pair) for n in (100, 1000, 10000)]
+    reps = [cell("S1", n, 20, "ols")[pair] for n in (100, 1000, 10000)]
     fnr = [r.mean_fnr_pct for r in reps]
     gap = [100.0 - r.mean_tnr_pct for r in reps]
     slack = 3.0

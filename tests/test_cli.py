@@ -1,12 +1,18 @@
 """CLI behavior: flags, exit codes, determinism, selection workflows."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from threshsel.cli import main
 from threshsel import Dataset, write_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -132,6 +138,21 @@ def write_toy_csv(path, n=500, seed=321, beta=(2.0, 0.0)):
 
 
 class TestSelect:
+    def test_import_and_select_leave_scipy_unloaded(self, tmp_path):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        code = (
+            "import sys, threshsel\n"
+            "assert 'scipy' not in sys.modules, 'import threshsel loaded scipy'\n"
+            "from threshsel.cli import main\n"
+            f"assert main(['select', '--input', {str(csv_path)!r}, '--response', 'y']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'select loaded scipy'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_pure_noise_column_dropped(self, tmp_path, capsys):
         csv_path = tmp_path / "toy.csv"
         write_toy_csv(csv_path)

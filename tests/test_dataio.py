@@ -237,6 +237,19 @@ class TestWriteReport:
         assert doc["scenario"] == "S1" and doc["n"] == 100
         assert doc["mean_tnr_pct"] == 100.0
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overwrite_with_shorter_report(self, tmp_path, fmt):
+        scenario = scenario_s1(100, 20)
+        pairs = [PenaltySpec(0.5, 0.25), PenaltySpec(0.75, 0.4), PenaltySpec(1.0, 0.5)]
+        reports = [synthetic_report(scenario, pen, value=0.1) for pen in pairs]
+        path, fresh = tmp_path / "over", tmp_path / "fresh"
+        write_report(reports, path, fmt=fmt)
+        longer = path.stat().st_size
+        write_report(reports[:1], path, fmt=fmt)
+        write_report(reports[:1], fresh, fmt=fmt)
+        assert path.stat().st_size < longer
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_bad_format_rejected(self, tmp_path, rng, dataset_factory):
         result = tiny_selection(rng, dataset_factory)
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Simulation tests: covariance factor, data generation, replication driver."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from threshsel import (
+    BetaMinWarning,
     EstimatorConfig,
     NotPositiveDefiniteError,
     PenaltySpec,
@@ -19,6 +22,8 @@ from threshsel import (
     scenario_s1,
     scenario_s2,
 )
+
+PAIRS = (PenaltySpec(0.5, 0.25), PenaltySpec(0.75, 0.4), PenaltySpec(1.0, 0.5))
 
 
 class TestEquicorrelatedFactor:
@@ -118,10 +123,10 @@ class TestDeriveSeed:
 
 class TestRunReplication:
     def test_strong_signal_outcome(self):
-        outcome = run_replication(
+        (outcome,) = run_replication(
             scenario_s1(1000, 20),
             EstimatorConfig(method="ols"),
-            PenaltySpec(0.75, 0.4),
+            [PenaltySpec(0.75, 0.4)],
             seed=derive_seed(7, 0),
         )
         assert outcome.fnr <= 0.2
@@ -133,7 +138,7 @@ class TestRunReplication:
         bad = ScenarioSpec(n=3, p=2, beta0=np.array([1.0, 0.0]), rho=0.0)
         config = EstimatorConfig(method="ridge", ridge_lambda=-1.0)
         with pytest.raises(RuntimeError, match="seed 99"):
-            run_replication(bad, config, PenaltySpec(1.0, 0.5), seed=99)
+            run_replication(bad, config, [PenaltySpec(1.0, 0.5)], seed=99)
 
 
 class TestEstimatorConfig:
@@ -159,18 +164,18 @@ class TestRunScenario:
     def test_single_replication_matches_outcome(self):
         scenario = scenario_s1(300, 20)
         estimator = EstimatorConfig()
-        penalty = PenaltySpec(1.0, 0.5)
-        report = run_scenario(scenario, estimator, penalty, replications=1, base_seed=4)
-        outcome = run_replication(scenario, estimator, penalty, derive_seed(4, 0))
+        penalties = [PenaltySpec(1.0, 0.5)]
+        (report,) = run_scenario(scenario, estimator, penalties, replications=1, base_seed=4)
+        (outcome,) = run_replication(scenario, estimator, penalties, derive_seed(4, 0))
         assert report.mean_delta_hat == outcome.delta_hat
         assert report.mean_fnr_pct == 100 * outcome.fnr
         assert report.mean_tnr_pct == 100 * outcome.tnr
 
     def test_base_seed_determinism(self):
         scenario = scenario_s2(150, 20)
-        args = (scenario, EstimatorConfig(), PenaltySpec(0.5, 0.25))
-        one = run_scenario(*args, replications=8, base_seed=11)
-        two = run_scenario(*args, replications=8, base_seed=11)
+        args = (scenario, EstimatorConfig(), [PenaltySpec(0.5, 0.25)])
+        (one,) = run_scenario(*args, replications=8, base_seed=11)
+        (two,) = run_scenario(*args, replications=8, base_seed=11)
         assert one.mean_delta_hat == two.mean_delta_hat
         assert one.mean_fnr_pct == two.mean_fnr_pct
         assert one.mean_tnr_pct == two.mean_tnr_pct
@@ -178,9 +183,9 @@ class TestRunScenario:
 
     def test_parallel_equals_serial(self):
         scenario = scenario_s1(200, 20)
-        args = (scenario, EstimatorConfig(), PenaltySpec(0.75, 0.4))
-        serial = run_scenario(*args, replications=12, base_seed=3, workers=1)
-        parallel = run_scenario(*args, replications=12, base_seed=3, workers=4)
+        args = (scenario, EstimatorConfig(), [PenaltySpec(0.75, 0.4)])
+        (serial,) = run_scenario(*args, replications=12, base_seed=3, workers=1)
+        (parallel,) = run_scenario(*args, replications=12, base_seed=3, workers=4)
         assert serial.mean_delta_hat == parallel.mean_delta_hat
         assert serial.mean_fnr_pct == parallel.mean_fnr_pct
         assert serial.mean_tnr_pct == parallel.mean_tnr_pct
@@ -188,8 +193,8 @@ class TestRunScenario:
             assert a.seed == b.seed and a.delta_hat == b.delta_hat
 
     def test_means_match_stored_outcomes(self):
-        report = run_scenario(
-            scenario_s1(150, 20), EstimatorConfig(), PenaltySpec(1.0, 0.5),
+        (report,) = run_scenario(
+            scenario_s1(150, 20), EstimatorConfig(), [PenaltySpec(1.0, 0.5)],
             replications=10, base_seed=21,
         )
         assert report.mean_delta_hat == pytest.approx(
@@ -205,6 +210,35 @@ class TestRunScenario:
     def test_zero_replications_rejected(self):
         with pytest.raises(ValueError):
             run_scenario(
-                scenario_s1(100, 20), EstimatorConfig(), PenaltySpec(1.0, 0.5),
+                scenario_s1(100, 20), EstimatorConfig(), [PenaltySpec(1.0, 0.5)],
                 replications=0, base_seed=1,
             )
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValueError, match="penalty pair"):
+            run_scenario(
+                scenario_s1(100, 20), EstimatorConfig(), [],
+                replications=2, base_seed=1,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_pairs_share_replications(self, workers):
+        # All pairs in one call give what one call per pair gives.
+        args = (scenario_s1(200, 20), EstimatorConfig())
+        joint = run_scenario(*args, PAIRS, replications=9, base_seed=5, workers=workers)
+        assert [r.penalty for r in joint] == list(PAIRS)
+        for pair, report in zip(PAIRS, joint):
+            (single,) = run_scenario(*args, [pair], replications=9, base_seed=5,
+                                     workers=workers)
+            assert report.to_dict() == single.to_dict()
+            assert [replace(o, wall_time=0.0) for o in report.outcomes] == [
+                replace(o, wall_time=0.0) for o in single.outcomes
+            ]
+
+    def test_one_beta_min_warning_per_replication(self):
+        # A signal of 1e-9 never clears the finest threshold.
+        scenario = ScenarioSpec(n=50, p=3, beta0=np.array([1e-9, 1.0, 0.0]), rho=0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_scenario(scenario, EstimatorConfig(), PAIRS, replications=4, base_seed=2)
+        assert [w.category for w in caught] == [BetaMinWarning] * 4
